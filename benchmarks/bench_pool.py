@@ -40,7 +40,6 @@ import numpy as np
 
 import repro
 from repro.engine import pool as engine_pool
-from repro.engine.sweep import _per_call_pool_kernel
 from repro.simulation.ac import ac_kernel
 
 from _util import finish, standard_main
@@ -74,6 +73,24 @@ C3 4 0 1e-9
 """
 
 
+def _ac_chunk(payload):
+    """Per-call worker body: the serial exact kernel over one chunk."""
+    system, sigma_chunk = payload
+    return ac_kernel(system, sigma_chunk)
+
+
+def per_call_pool_kernel(system, chunks, n_workers: int) -> list:
+    """The cold baseline: a fresh ``ProcessPoolExecutor`` per call that
+    pickles the whole system to every worker (what every exact sweep
+    paid before the persistent pool)."""
+    import concurrent.futures as futures
+
+    with futures.ProcessPoolExecutor(max_workers=n_workers) as pool:
+        return list(
+            pool.map(_ac_chunk, [(system, chunk) for chunk in chunks])
+        )
+
+
 def sweep_band(system, points: int) -> np.ndarray:
     """Real sigma grid spread over the grid's dominant time constants."""
     tau = 1.0e3 * 0.2e-12
@@ -96,7 +113,7 @@ def measure_pool(rows: int, cols: int, points: int, repeats: int) -> dict:
     percall = None
     for _ in range(2):
         start = time.perf_counter()
-        parts = _per_call_pool_kernel(system, chunks, WORKERS)
+        parts = per_call_pool_kernel(system, chunks, WORKERS)
         percall_times.append(time.perf_counter() - start)
         percall = np.concatenate(parts, axis=0)
     percall_s = min(percall_times)
@@ -104,7 +121,7 @@ def measure_pool(rows: int, cols: int, points: int, repeats: int) -> dict:
     # persistent pool: cold first call (spawn + publish + factor), then
     # warm repeats (operands + LU factors already cached in workers)
     engine_pool.shutdown_pool()
-    engine_pool.configure(persistent=True, use_shm=True, idle_timeout=600.0)
+    engine_pool.configure(use_shm=True, idle_timeout=600.0)
     pool = engine_pool.get_pool()
     start = time.perf_counter()
     cold = pool.eval(system, sigma, workers=WORKERS)

@@ -1,13 +1,15 @@
 #!/usr/bin/env python
 """Concurrency smoke test for ``repro serve`` over stdio-JSONL.
 
-Spawns the service as a subprocess with service faults armed
-(``service.slow@reduce:3, service.drop@sweep:2``), fires ~50 mixed
-requests at it concurrently (reductions, reduced and exact sweeps,
-stats probes, malformed requests), and asserts:
+Spawns the service as a subprocess with a two-worker sweep pool and
+service faults armed (``service.slow@reduce:3, service.drop@sweep:2``),
+fires ~50 mixed requests at it concurrently (reductions, reduced and
+exact sweeps, stats probes, malformed requests, and one exact sweep
+large enough for the pool), and asserts:
 
 * every request id gets exactly one response (zero hung requests);
 * every response is either ``ok`` or carries a documented error code;
+* the large exact sweep is answered ``ok`` by the ``pool`` tier;
 * dedup / retry / tier counters in the final ``stats`` are coherent;
 * the process drains and exits cleanly within the timeout after a
   ``shutdown`` request.
@@ -89,6 +91,15 @@ def build_requests(n: int) -> list[dict]:
     return requests
 
 
+#: an exact sweep the pool tier actually runs: two workers at
+#: MIN_POINTS_PER_WORKER = 16 points each need >= 32 points
+POOL_REQUEST = {
+    "id": "pool-exact", "op": "sweep", "deadline_ms": 20000,
+    "params": {"netlist": NETLIST_B, "order": 3, "band": [1e6, 1e9],
+               "points": 64, "exact": True},
+}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--requests", type=int, default=50)
@@ -96,10 +107,12 @@ def main() -> int:
     args = parser.parse_args()
 
     requests = build_requests(args.requests)
-    expected_ids = {r["id"] for r in requests} | {"final-stats", "bye"}
+    expected_ids = {r["id"] for r in requests} | {
+        POOL_REQUEST["id"], "final-stats", "bye",
+    }
 
     process = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve",
+        [sys.executable, "-m", "repro", "serve", "--workers", "2",
          "--max-concurrency", "4", "--max-pending", "256",
          "--inject-fault", "service.slow@reduce:3, service.drop@sweep:2"],
         cwd=REPO,
@@ -130,6 +143,18 @@ def main() -> int:
     reader.start()
 
     started = time.monotonic()
+    # the pool request goes first, alone, while stdin stays open: the
+    # server's stdin reader thread is blocked in readline when the pool
+    # starts its workers (a plain fork of the server would inherit that
+    # held lock and hang)
+    process.stdin.write(json.dumps(POOL_REQUEST) + "\n")
+    process.stdin.flush()
+    while (
+        POOL_REQUEST["id"] not in responses
+        and process.poll() is None
+        and time.monotonic() - started < args.timeout
+    ):
+        time.sleep(0.05)
     for request in requests:
         process.stdin.write(json.dumps(request) + "\n")
     process.stdin.write(json.dumps({"id": "final-stats", "op": "stats"}) + "\n")
@@ -173,6 +198,9 @@ def main() -> int:
     ]
     if bad_answers:
         failures.append(f"malformed requests accepted: {bad_answers}")
+    pool = responses.get(POOL_REQUEST["id"], {})
+    if not pool.get("ok") or pool["result"].get("tier") != "pool":
+        failures.append(f"large exact sweep not served by the pool: {pool}")
     failures.extend(reader_errors)
 
     stats = responses.get("final-stats", {}).get("result", {})

@@ -174,10 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--workers", type=int, default=None, metavar="N",
                        help="process-pool width for exact sweeps "
                        "(default: REPRO_WORKERS env, then serial)")
-    sweep.add_argument("--no-pool", action="store_true",
-                       help="disable the persistent sweep pool (exact "
-                       "sweeps fall back to a per-call pool; default: "
-                       "REPRO_POOL_PERSISTENT env, then on)")
     sweep.add_argument("--pool-idle-timeout", type=float, default=None,
                        metavar="SECONDS",
                        help="idle seconds before the persistent pool "
@@ -230,9 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="SECONDS", help="disk cache entry TTL")
     serve.add_argument("--workers", type=int, default=None, metavar="N",
                        help="process-pool width for exact sweeps")
-    serve.add_argument("--no-pool", action="store_true",
-                       help="disable the persistent sweep pool (exact "
-                       "sweeps fall back to a per-call pool)")
     serve.add_argument("--pool-idle-timeout", type=float, default=None,
                        metavar="SECONDS",
                        help="idle seconds before the persistent pool "
@@ -538,13 +531,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ReproError("--band needs 0 < w_lo < w_hi")
     s = 1j * np.logspace(np.log10(w_lo), np.log10(w_hi), args.points)
 
-    if args.no_pool or args.pool_idle_timeout is not None:
+    if args.pool_idle_timeout is not None:
         from repro.engine import pool as engine_pool
 
-        engine_pool.configure(
-            persistent=False if args.no_pool else None,
-            idle_timeout=args.pool_idle_timeout,
-        )
+        engine_pool.configure(idle_timeout=args.pool_idle_timeout)
     engine = Engine(
         cache_dir=args.cache_dir, workers=args.workers,
         backend=args.backend, dtype=args.dtype,
@@ -625,13 +615,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service.config import RetryConfig
     from repro.service.http import serve_http
 
-    if args.no_pool or args.pool_idle_timeout is not None:
+    if args.pool_idle_timeout is not None:
         from repro.engine import pool as engine_pool
 
-        engine_pool.configure(
-            persistent=False if args.no_pool else None,
-            idle_timeout=args.pool_idle_timeout,
-        )
+        engine_pool.configure(idle_timeout=args.pool_idle_timeout)
     try:
         config = ServiceConfig(
             max_pending=args.max_pending,

@@ -9,8 +9,8 @@ against few reductions at hardware speed:
   a reduced model; batch evaluation with zero linear solves.
 * :mod:`repro.engine.cache` -- content-addressed (SHA-256 of the MNA
   matrices + reduction options) LRU + disk cache of reductions.
-* :mod:`repro.engine.sweep` -- chunked batched sweeps for compiled
-  models and process-pool fan-out for exact reference sweeps.
+* :mod:`repro.engine.sweep` -- the sweep ladder: ``pool -> serial``
+  for exact reference sweeps, ``compiled -> direct`` for models.
 * :mod:`repro.engine.pool` -- the process-wide persistent sweep pool
   (warm workers, shared-memory operand transport, ``REPRO_POOL_*``).
 * :mod:`repro.engine.session` -- the :class:`Engine` facade with
@@ -32,7 +32,6 @@ from repro.engine.pool import (
     SweepPool,
     configure_pool,
     get_pool,
-    pool_enabled,
     pool_stats,
     shutdown_pool,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "SweepPool",
     "configure_pool",
     "get_pool",
-    "pool_enabled",
     "pool_stats",
     "shutdown_pool",
 ]

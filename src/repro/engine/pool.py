@@ -1,12 +1,12 @@
-"""Persistent shared-memory sweep pool.
+"""Persistent shared-memory sweep pool: the ``pool`` tier of the exact
+sweep ladder (:mod:`repro.engine.sweep`).
 
-The per-call :class:`~concurrent.futures.ProcessPoolExecutor` inside
-:func:`repro.engine.sweep.parallel_ac_kernel` pays full pool bring-up
-on every exact-reference sweep and re-pickles the entire sparse MNA
-system to every worker on every call.  At the 10^5--10^6-node scale of
-post-layout models that serialization and spawn cost rivals the LU
-solves themselves.  This module keeps one process-wide pool warm
-instead:
+A per-call :class:`~concurrent.futures.ProcessPoolExecutor` pays full
+pool bring-up on every exact-reference sweep and re-pickles the entire
+sparse MNA system to every worker on every call.  At the
+10^5--10^6-node scale of post-layout models that serialization and
+spawn cost rivals the LU solves themselves.  This module keeps one
+process-wide pool warm instead:
 
 * **Lazy start, long life.**  The pool spins up on first use (with a
   warm-up solve so workers have SciPy loaded before real traffic),
@@ -15,8 +15,13 @@ instead:
   the next call.  Worker crashes are detected
   (:class:`~concurrent.futures.process.BrokenProcessPool`), recorded
   as ``engine.pool`` :class:`~repro.robustness.health.HealthMonitor`
-  events, and answered with one automatic restart before the caller's
-  own fallback ladder takes over.
+  events, and answered with one automatic restart before the exact
+  ladder falls to its serial tier.
+* **No plain fork.**  Workers start from a ``forkserver`` (``spawn``
+  where that is unavailable), never as a fork of this process: a fork
+  would inherit locks held by this process's other threads -- the
+  ``repro serve`` stdin reader holds the ``sys.stdin`` buffer lock,
+  and a forked worker's bootstrap blocks on it forever.
 * **Ship the system once.**  The aligned CSC operand arrays
   (``data``/``indices``/``indptr`` for ``G`` and ``C``, plus the dense
   ``B``) are published through :mod:`multiprocessing.shared_memory`
@@ -33,14 +38,14 @@ instead:
   triangular solves.  A cached factor is the very object a fresh
   factorization would produce, so results stay bitwise identical.
 
-Every transport (shared memory, pickle, per-call pool, serial) funnels
-into :func:`repro.simulation.ac.ac_kernel_prepared`, so sweep results
-are bitwise independent of pool reuse, transport, and worker count.
+Every transport (shared memory, pickle, serial) funnels into
+:func:`repro.simulation.ac.ac_kernel_prepared`, so sweep results are
+bitwise independent of pool reuse, transport, and worker count.
 
 Configuration resolves from ``REPRO_POOL_*`` environment variables
 (see :class:`PoolConfig`) and can be overridden programmatically with
-:func:`configure` or per-process via the ``repro sweep`` / ``repro
-serve`` CLI flags.
+:func:`configure` or per-process via the ``--pool-idle-timeout`` flag
+of ``repro sweep`` / ``repro serve``.
 """
 
 from __future__ import annotations
@@ -70,7 +75,6 @@ __all__ = [
     "configure_pool",
     "describe",
     "get_pool",
-    "pool_enabled",
     "pool_stats",
     "shutdown_pool",
 ]
@@ -107,9 +111,6 @@ def _env_int(name: str, default: int) -> int:
 class PoolConfig:
     """Knobs of the process-wide sweep pool (``REPRO_POOL_*`` env).
 
-    ``persistent``
-        Master switch (``REPRO_POOL_PERSISTENT``, default on).  Off
-        restores the per-call pool of earlier releases.
     ``idle_timeout``
         Seconds without work before the pool shuts itself down
         (``REPRO_POOL_IDLE_TIMEOUT``, default 120; ``<= 0`` keeps the
@@ -133,7 +134,6 @@ class PoolConfig:
         paid before the first real sweep.
     """
 
-    persistent: bool = True
     idle_timeout: float = 120.0
     use_shm: bool = True
     shm_models: int = 4
@@ -143,7 +143,6 @@ class PoolConfig:
     @classmethod
     def from_env(cls) -> "PoolConfig":
         return cls(
-            persistent=_env_flag("REPRO_POOL_PERSISTENT", True),
             idle_timeout=_env_float("REPRO_POOL_IDLE_TIMEOUT", 120.0),
             use_shm=_env_flag("REPRO_POOL_SHM", True),
             shm_models=max(1, _env_int("REPRO_POOL_SHM_MODELS", 4)),
@@ -153,7 +152,7 @@ class PoolConfig:
 
 
 # ---------------------------------------------------------------------------
-# worker side (module-level so everything pickles under fork and spawn)
+# worker side (module-level so everything pickles by reference)
 # ---------------------------------------------------------------------------
 class _FactorCache:
     """Bounded LRU of LU factorizations keyed by ``(fingerprint, sigma)``."""
@@ -225,17 +224,11 @@ def _attach_shm_operands(descriptor: dict) -> AcOperands:
     """
     from multiprocessing import shared_memory
 
+    # the attach re-registers the segment with the resource tracker this
+    # worker shares with the parent -- a no-op for a name the parent
+    # registered already; the parent's unlink unregisters it once
     shm = shared_memory.SharedMemory(name=descriptor["shm_name"])
     try:
-        try:
-            # the attach registered the segment with this process's
-            # resource tracker; the parent owns the lifetime, so
-            # unregister to avoid spurious leak warnings / unlinks
-            from multiprocessing import resource_tracker
-
-            resource_tracker.unregister(shm._name, "shared_memory")
-        except Exception:
-            pass
         arrays = {}
         for name, dtype, shape, offset in descriptor["layout"]:
             count = int(np.prod(shape, dtype=np.int64))
@@ -286,6 +279,19 @@ def _worker_eval(descriptor: dict, sigma_chunk: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # parent side
 # ---------------------------------------------------------------------------
+def _mp_context():
+    """Worker start method: a ``forkserver`` preloaded with this module
+    (workers fork from a clean single-threaded server with NumPy and
+    SciPy already imported), else ``spawn``."""
+    import multiprocessing
+
+    if "forkserver" in multiprocessing.get_all_start_methods():
+        context = multiprocessing.get_context("forkserver")
+        context.set_forkserver_preload([__name__])
+        return context
+    return multiprocessing.get_context("spawn")
+
+
 class _ShmEntry:
     """One model's published operand segment (parent side)."""
 
@@ -388,7 +394,9 @@ class SweepPool:
             self._executor.shutdown(wait=False, cancel_futures=True)
             self._executor = None
         if self._executor is None:
-            self._executor = futures.ProcessPoolExecutor(max_workers=workers)
+            self._executor = futures.ProcessPoolExecutor(
+                max_workers=workers, mp_context=_mp_context()
+            )
             self._workers = workers
             self.stats["cold_starts"] += 1
             if self.config.warmup:
@@ -554,20 +562,21 @@ class SweepPool:
         """Exact kernel sweep over the persistent pool.
 
         Splits ``sigma_values`` into one contiguous chunk per worker
-        (identical to the per-call path, so results concatenate to the
-        same array), ships the tiny descriptor + sigma chunk, and
-        reassembles.  A broken pool is restarted once; a second failure
-        propagates so :func:`~repro.engine.sweep.parallel_ac_kernel`
-        can fall back to its own ladder.
+        (every point is solved independently, so the chunks concatenate
+        to the serial tier's array bit for bit), ships the tiny
+        descriptor + sigma chunk, and reassembles.  A broken pool is
+        restarted once; a second failure propagates and the exact
+        ladder falls to its serial tier.  An eval counts as warm when
+        its executor was already running.
         """
         from concurrent.futures.process import BrokenProcessPool
 
         sigma_values = np.atleast_1d(np.asarray(sigma_values)).ravel()
         workers = max(1, int(workers))
         with self._lock:
+            warm = self._executor is not None and workers <= self._workers
             executor = self._ensure_executor(workers, monitor)
             descriptor = self._descriptor(system, monitor)
-            warm = self.stats["evals"] > 0 and self.stats["cold_starts"] <= 1
             self._busy += 1
         try:
             chunks = np.array_split(sigma_values, min(workers, self._workers))
@@ -577,6 +586,7 @@ class SweepPool:
                 raise
             except BrokenProcessPool as exc:
                 executor = self._restart(monitor, exc, workers)
+                warm = False
                 parts = self._map_chunks(executor, descriptor, chunks)
             with self._lock:
                 self.stats["evals"] += 1
@@ -602,7 +612,6 @@ class SweepPool:
         """JSON-ready pool state for ``Engine.stats`` / ``healthz``."""
         with self._lock:
             return {
-                "enabled": self.config.persistent,
                 "running": self._executor is not None,
                 "workers": self._workers,
                 "transport": (
@@ -651,11 +660,6 @@ def configure(**overrides) -> PoolConfig:
         return _CONFIG
 
 
-def pool_enabled() -> bool:
-    """Is the persistent pool tier switched on for this process?"""
-    return _current_config().persistent
-
-
 def get_pool() -> SweepPool:
     """The process-wide :class:`SweepPool`, created on first use."""
     global _POOL
@@ -681,7 +685,6 @@ def describe() -> dict:
             return _POOL.describe()
     config = _current_config()
     return {
-        "enabled": config.persistent,
         "running": False,
         "workers": 0,
         "transport": "shm" if config.use_shm else "pickle",

@@ -32,8 +32,10 @@ from repro.engine.compiled import CompiledModel
 from repro.engine.sweep import (
     DEFAULT_CHUNK,
     compiled_sweep,
+    direct_sweep,
     parallel_ac_sweep,
     resolve_workers,
+    run_ladder,
     verify_precision,
 )
 from repro.errors import ReductionError
@@ -342,13 +344,24 @@ class Engine:
         label: str = "",
         backend=None,
         dtype=None,
+        breaker=None,
+        deadline=None,
+        faults=None,
     ) -> FrequencyResponse:
-        """Frequency sweep of a model *or* an assembled system.
+        """Frequency sweep of a model *or* an assembled system, down the
+        engine's sweep ladder (:mod:`repro.engine.sweep`).
 
         An :class:`~repro.circuits.mna.MNASystem` (anything with sparse
-        ``G``) runs the exact reference path, fanned out over the
-        process pool; a reduced model is compiled once and evaluated as
-        a batched broadcast sum.
+        ``G``) runs the exact ladder, ``pool -> serial``; a reduced
+        model runs ``compiled -> direct``: compiled once and evaluated
+        as a batched broadcast sum, or per point when that fails.  The
+        response's ``tier`` names the tier that computed it.
+        ``breaker`` (a :class:`~repro.robustness.guards.CircuitBreaker`)
+        guards the pool tier, ``deadline`` (a
+        :class:`~repro.robustness.guards.Deadline`) is checked between
+        serial chunks, and ``faults`` (a
+        :class:`~repro.robustness.faultinject.ServiceFaultPlan`) fires
+        ``pool.crash@chunk`` inside the pool tier.
 
         Compiled sweeps honor ``backend`` / ``dtype`` (per-call
         overrides of the engine defaults).  A ``float32`` policy is
@@ -368,33 +381,52 @@ class Engine:
                 workers=workers if workers is not None else self.workers,
                 label=label or "exact",
                 monitor=self.monitor,
+                breaker=breaker,
+                deadline=deadline,
+                faults=faults,
             )
             self.stats_.exact_points += s_values.size
         else:
-            compiled = self.compile(target)
-            xp = get_backend(backend) if backend is not None else self.backend
-            policy = resolve_dtype(dtype) if dtype is not None else self.dtype
-            generic = xp.name != "numpy" or not policy.is_default
-            if generic and not policy.is_default:
-                self.stats_.precision_checks += 1
-                accepted, _ = verify_precision(
-                    compiled, s_values, backend=xp, dtype=policy,
-                    monitor=self.monitor,
-                )
-                if not accepted:
-                    self.stats_.precision_rejections += 1
-                    policy = resolve_dtype("float64")
-            response = compiled_sweep(
-                compiled, s_values, chunk=chunk, label=label,
-                backend=xp if generic else None,
-                dtype=policy if generic else None,
+            response, tier, transition = run_ladder(
+                ("compiled", lambda: self._compiled_sweep(
+                    target, s_values, chunk, label, backend, dtype
+                )),
+                ("direct", lambda: direct_sweep(
+                    target, s_values, label=label, deadline=deadline
+                )),
+                points=s_values.size,
                 monitor=self.monitor,
-                verify=False,  # gated above so the stats counters see it
+                deadline=deadline,
             )
-            self.stats_.compiled_points += s_values.size
-            if compiled.is_spectral:
-                self.stats_.solves_avoided += s_values.size
+            response.tier, response.transition = tier, transition
         self.stats_.wall["sweep"] += time.perf_counter() - started
+        return response
+
+    def _compiled_sweep(self, model, s_values, chunk, label, backend, dtype):
+        """The model ladder's ``compiled`` tier."""
+        compiled = self.compile(model)
+        xp = get_backend(backend) if backend is not None else self.backend
+        policy = resolve_dtype(dtype) if dtype is not None else self.dtype
+        generic = xp.name != "numpy" or not policy.is_default
+        if generic and not policy.is_default:
+            self.stats_.precision_checks += 1
+            accepted, _ = verify_precision(
+                compiled, s_values, backend=xp, dtype=policy,
+                monitor=self.monitor,
+            )
+            if not accepted:
+                self.stats_.precision_rejections += 1
+                policy = resolve_dtype("float64")
+        response = compiled_sweep(
+            compiled, s_values, chunk=chunk, label=label,
+            backend=xp if generic else None,
+            dtype=policy if generic else None,
+            monitor=self.monitor,
+            verify=False,  # gated above so the stats counters see it
+        )
+        self.stats_.compiled_points += s_values.size
+        if compiled.is_spectral:
+            self.stats_.solves_avoided += s_values.size
         return response
 
     def transient(self, model, drives, t, **kwargs):

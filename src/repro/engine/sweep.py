@@ -1,18 +1,26 @@
-"""Batched and parallel frequency sweeps.
+"""Batched frequency sweeps and the engine's one sweep ladder.
 
-Two execution strategies, matched to the two model classes:
+Every sweep runs down a two-tier ladder (:func:`run_ladder`):
 
-* **Compiled models** evaluate as NumPy broadcast sums; the only thing
-  to manage is peak memory, so :func:`batched_eval` chunks huge
-  frequency grids into fixed-size batches.
-* **Exact reference sweeps** (one sparse LU per point) are
-  embarrassingly parallel across the grid; :func:`parallel_ac_kernel`
-  re-splits the sigma grid over a ``concurrent.futures`` process pool
-  (each worker reuses the precomputed CSC pair of
-  :func:`repro.simulation.ac.ac_kernel` across its whole chunk) and
-  falls back to the serial path for small grids, ``workers <= 1``, or
-  any pool failure -- results are bitwise independent of the worker
-  count.
+* **exact** (an MNA system): ``pool -> serial``.  ``pool`` is the
+  persistent process pool of :mod:`repro.engine.pool`, attempted only
+  with more than one resolved worker and at least
+  :data:`MIN_POINTS_PER_WORKER` points per worker; ``serial`` runs
+  :func:`~repro.simulation.ac.ac_kernel_prepared` over operands
+  prepared once, in chunks.  Results are bitwise independent of the
+  tier and the worker count.
+* **model**: ``compiled -> direct``.  ``compiled`` evaluates the
+  pole-residue form as broadcast sums in fixed-size batches
+  (:func:`batched_eval` bounds peak memory); ``direct`` is per-point
+  scalar ``model.impedance`` (:func:`direct_sweep`).
+
+A :class:`~repro.robustness.guards.CircuitBreaker` on the ``pool`` tier
+short-circuits to ``serial`` while the pool keeps failing; serial tiers
+check the caller's :class:`~repro.robustness.guards.Deadline` between
+chunks; every fall is one ``engine.sweep`` health event; and
+:class:`SimulationError`, :class:`MemoryError` and deadline expiry are
+re-raised, never walked past.  The response names the ``tier`` that
+computed it.
 
 The worker count resolves as ``workers`` argument > ``REPRO_WORKERS``
 environment variable > 1 (serial), clamped to the CPUs this process
@@ -21,11 +29,6 @@ container CPU quotas shrink the affinity mask without touching
 ``os.cpu_count()`` -- else ``os.cpu_count()``); non-integer and
 non-positive ``REPRO_WORKERS`` values are ignored with a one-shot
 :class:`~repro.errors.NumericalWarning`.
-
-Exact sweeps prefer the process-wide **persistent pool** of
-:mod:`repro.engine.pool` (warm workers, shared-memory operand
-transport); the ladder below it -- per-call pool, then serial -- is
-unchanged, and every tier produces bitwise-identical results.
 
 Compiled sweeps are backend/dtype-generic: :func:`compiled_sweep`
 accepts an :class:`~repro.backends.ArrayBackend` and a
@@ -46,15 +49,18 @@ import warnings
 import numpy as np
 
 from repro.errors import NumericalWarning, SimulationError
-from repro.simulation.ac import ac_kernel
+from repro.robustness.guards import DeadlineExceeded
+from repro.simulation.ac import ac_kernel_prepared, prepare_ac_operands
 from repro.simulation.results import FrequencyResponse
 
 __all__ = [
     "batched_eval",
     "compiled_sweep",
+    "direct_sweep",
     "parallel_ac_kernel",
     "parallel_ac_sweep",
     "resolve_workers",
+    "run_ladder",
     "verify_precision",
 ]
 
@@ -131,23 +137,24 @@ def resolve_workers(workers: int | None = None) -> int:
 # compiled (batched) path
 # ---------------------------------------------------------------------------
 def batched_eval(
-    evaluate, values: np.ndarray, *, chunk: int = DEFAULT_CHUNK
+    evaluate, values: np.ndarray, *, chunk: int = DEFAULT_CHUNK, deadline=None
 ) -> np.ndarray:
     """Apply ``evaluate`` over ``values`` in fixed-size batches.
 
     ``chunk`` is clamped to at least 1, and a grid no larger than one
     chunk (including the tiny ``n_points < chunk`` and empty cases)
-    evaluates in a single call -- never an empty batch.
+    evaluates in a single call -- never an empty batch.  ``deadline``
+    (a :class:`~repro.robustness.guards.Deadline`) is checked before
+    every batch.
     """
     values = np.atleast_1d(np.asarray(values)).ravel()
     chunk = max(1, int(chunk))
-    if values.size <= chunk:
-        return np.asarray(evaluate(values))
-    parts = [
-        np.asarray(evaluate(values[lo:lo + chunk]))
-        for lo in range(0, values.size, chunk)
-    ]
-    return np.concatenate(parts, axis=0)
+    parts = []
+    for lo in range(0, max(values.size, 1), chunk):
+        if deadline is not None:
+            deadline.check("sweep-chunk")
+        parts.append(np.asarray(evaluate(values[lo:lo + chunk])))
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
 
 
 def verify_precision(
@@ -270,56 +277,118 @@ def compiled_sweep(
 
 
 # ---------------------------------------------------------------------------
-# exact (process-pool) path
+# the sweep ladder: exact pool -> serial, model compiled -> direct
 # ---------------------------------------------------------------------------
-def _ac_chunk(payload):
-    """Worker body: serial exact kernel over one sigma chunk.
+#: grid chunk of the serial tiers; the deadline is checked between chunks
+SERIAL_CHUNK = 64
 
-    Module-level so it pickles under both fork and spawn start methods.
+#: failures no lower tier can fix: a singular point fails identically
+#: on every tier, a grid that does not fit only fails worse serially,
+#: and an expired deadline is final
+_FINAL = (SimulationError, MemoryError, DeadlineExceeded)
+
+#: the tier-fallback NumericalWarning fires once per process (the
+#: transition events still record every occurrence)
+_FALLBACK_WARNED = False
+
+
+def _reset_fallback_warning() -> None:
+    """Re-arm the one-shot tier-fallback warning (test seam)."""
+    global _FALLBACK_WARNED
+    _FALLBACK_WARNED = False
+
+
+def run_ladder(
+    upper: tuple, lower: tuple, *, points: int, breaker=None, monitor=None,
+    deadline=None,
+):
+    """Walk one two-tier ladder of ``(name, fn)`` pairs.
+
+    An upper ``fn`` of ``None`` is a tier that cannot run for this
+    sweep and is skipped without a transition; ``breaker`` guards the
+    upper tier.  Each fall -- a failure or a breaker short circuit --
+    is one ``engine.sweep`` event on ``monitor``.  Returns ``(result,
+    tier, transition)``, ``transition`` being the ``"from->to"`` edge
+    taken or ``None``.
     """
-    system, sigma_chunk = payload
-    return ac_kernel(system, sigma_chunk)
+    global _FALLBACK_WARNED
+    (upper_name, upper_fn), (lower_name, lower_fn) = upper, lower
+    if upper_fn is None:
+        return lower_fn(), lower_name, None
+    if deadline is not None:
+        deadline.check(upper_name)
+    error = None
+    if breaker is not None and not breaker.allow():
+        reason = "breaker-open"
+    else:
+        try:
+            result = upper_fn()
+        except _FINAL:
+            if breaker is not None:  # the tier ran; the grid is at fault
+                breaker.record_success()
+            raise
+        except Exception as exc:
+            if breaker is not None:
+                breaker.record_failure()
+            error, reason = exc, f"{type(exc).__name__}: {exc}"
+        else:
+            if breaker is not None:
+                breaker.record_success()
+            return result, upper_name, None
+    if monitor is not None:
+        monitor.record(
+            "engine.sweep", from_tier=upper_name, to_tier=lower_name,
+            reason=reason, error_class=type(error).__name__ if error else None,
+            breaker_short_circuit=error is None, points=int(points),
+        )
+    if error is not None and not _FALLBACK_WARNED:
+        _FALLBACK_WARNED = True
+        warnings.warn(
+            f"{upper_name} sweep tier failed ({reason}); falling back to "
+            f"the {lower_name} tier (further occurrences are recorded "
+            "only as health events)",
+            NumericalWarning,
+            stacklevel=3,
+        )
+    return lower_fn(), lower_name, f"{upper_name}->{lower_name}"
 
 
-#: sweep-heavy service sessions hit the pool fallback on every call;
-#: the NumericalWarning fires once per process (health events still
-#: record every occurrence)
-_POOL_FALLBACK_WARNED = False
-
-
-def _reset_pool_fallback_warning() -> None:
-    """Re-arm the one-shot pool-fallback warning (test seam)."""
-    global _POOL_FALLBACK_WARNED
-    _POOL_FALLBACK_WARNED = False
-
-
-def _warn_pool_fallback_once(exc: Exception) -> None:
-    global _POOL_FALLBACK_WARNED
-    if _POOL_FALLBACK_WARNED:
-        return
-    _POOL_FALLBACK_WARNED = True
-    warnings.warn(
-        f"process-pool sweep unavailable ({type(exc).__name__}: {exc}); "
-        "falling back to serial evaluation "
-        "(further occurrences warn only via health events)",
-        NumericalWarning,
-        stacklevel=3,
+def _exact_ladder(
+    system, sigma_values, *, workers=None,
+    min_points_per_worker: int = MIN_POINTS_PER_WORKER, monitor=None,
+    breaker=None, deadline=None, faults=None,
+):
+    """The exact ladder over the kernel variable: ``pool -> serial``.
+    ``faults`` fires its ``pool.crash@chunk`` fault in the pool tier."""
+    sigma_values = np.atleast_1d(np.asarray(sigma_values)).ravel()
+    # pool feasibility: more than one worker, each fed enough points
+    # for process fan-out to pay off
+    n_workers = min(
+        resolve_workers(workers),
+        max(1, sigma_values.size // max(1, int(min_points_per_worker))),
     )
 
+    def pool():
+        if faults is not None:
+            faults.maybe_crash_pool("chunk")
+        from repro.engine import pool as engine_pool
 
-def _per_call_pool_kernel(system, chunks, n_workers: int):
-    """One-shot ``ProcessPoolExecutor`` sweep (the pre-pool baseline).
-
-    Kept as the middle rung of the ladder -- and as the cold-cost
-    baseline that ``benchmarks/bench_pool.py`` measures the persistent
-    pool against.
-    """
-    import concurrent.futures as futures
-
-    with futures.ProcessPoolExecutor(max_workers=n_workers) as pool:
-        return list(
-            pool.map(_ac_chunk, [(system, chunk) for chunk in chunks])
+        return engine_pool.get_pool().eval(
+            system, sigma_values, workers=n_workers, monitor=monitor
         )
+
+    def serial():
+        operands = prepare_ac_operands(system)
+        return batched_eval(
+            lambda chunk: ac_kernel_prepared(operands, chunk),
+            sigma_values, chunk=SERIAL_CHUNK, deadline=deadline,
+        )
+
+    return run_ladder(
+        ("pool", pool if n_workers > 1 else None), ("serial", serial),
+        points=sigma_values.size, breaker=breaker, monitor=monitor,
+        deadline=deadline,
+    )
 
 
 def parallel_ac_kernel(
@@ -330,76 +399,18 @@ def parallel_ac_kernel(
     min_points_per_worker: int = MIN_POINTS_PER_WORKER,
     monitor=None,
 ) -> np.ndarray:
-    """Exact kernel sweep fanned out over a process pool.
+    """Exact kernel sweep down the ``pool -> serial`` ladder.
 
-    The sigma grid is re-split into one contiguous chunk per worker;
-    each worker reuses the precomputed aligned CSC pair across its
-    whole chunk and factors one sparse LU per point.  Small grids,
-    ``workers <= 1``, and pool bring-up failures (sandboxes without
-    fork/spawn) all take the serial path, so results never depend on
-    the environment.
-
-    The ladder is: **persistent pool** (:mod:`repro.engine.pool`, warm
-    workers + shared-memory operands) -> **per-call pool** (fresh
-    ``ProcessPoolExecutor``) -> **serial**.  A persistent-pool failure
-    records an ``engine.pool`` event and drops one rung; a per-call
-    failure records an ``engine.sweep`` event (so :meth:`Engine.stats`
-    reflects pool failures) plus a one-shot-per-process
-    :class:`NumericalWarning`.  Genuine worker errors --
-    :class:`SimulationError` (a singular point) and :class:`MemoryError`
-    (the grid does not fit) -- are re-raised instead of silently
-    retrying the whole grid serially.
+    The pool tier runs only with more than one resolved worker and at
+    least ``min_points_per_worker`` points per worker; a pool failure
+    is one ``engine.sweep`` event on ``monitor`` plus a
+    one-shot-per-process :class:`NumericalWarning`, and the serial tier
+    answers bit for bit the same.
     """
-    sigma_values = np.atleast_1d(np.asarray(sigma_values)).ravel()
-    n_workers = resolve_workers(workers)
-    # clamp the heuristic so tiny sweeps stay serial and the pool never
-    # receives an empty chunk (size // min_points is 0 for n < min, and
-    # a non-positive min_points_per_worker would divide by zero)
-    min_points_per_worker = max(1, int(min_points_per_worker))
-    n_workers = min(n_workers, max(1, sigma_values.size // min_points_per_worker))
-    if n_workers <= 1:
-        return ac_kernel(system, sigma_values)
-
-    from repro.engine import pool as engine_pool
-
-    if engine_pool.pool_enabled():
-        try:
-            return engine_pool.get_pool().eval(
-                system, sigma_values, workers=n_workers, monitor=monitor
-            )
-        except (SimulationError, MemoryError):
-            raise
-        except Exception as exc:  # persistent tier down: drop one rung
-            if monitor is not None:
-                monitor.record(
-                    "engine.pool",
-                    action="tier-fallback",
-                    error_class=type(exc).__name__,
-                    error=str(exc),
-                    workers=n_workers,
-                    points=int(sigma_values.size),
-                )
-
-    chunks = np.array_split(sigma_values, n_workers)
-    try:
-        parts = _per_call_pool_kernel(system, chunks, n_workers)
-    except SimulationError:
-        raise  # a singular point is a real error, not a pool failure
-    except MemoryError:
-        raise  # a worker OOM would only repeat (worse) serially
-    except Exception as exc:  # pool bring-up / pickling / sandbox limits
-        if monitor is not None:
-            monitor.record(
-                "engine.sweep",
-                stage="pool-fallback",
-                error_class=type(exc).__name__,
-                error=str(exc),
-                workers=n_workers,
-                points=int(sigma_values.size),
-            )
-        _warn_pool_fallback_once(exc)
-        return ac_kernel(system, sigma_values)
-    return np.concatenate(parts, axis=0)
+    return _exact_ladder(
+        system, sigma_values, workers=workers,
+        min_points_per_worker=min_points_per_worker, monitor=monitor,
+    )[0]
 
 
 def parallel_ac_sweep(
@@ -409,18 +420,48 @@ def parallel_ac_sweep(
     workers: int | None = None,
     label: str = "exact",
     monitor=None,
+    breaker=None,
+    deadline=None,
+    faults=None,
 ) -> FrequencyResponse:
-    """Exact physical impedance sweep with optional process-pool fan-out
-    (the parallel counterpart of :func:`repro.simulation.ac.ac_sweep`)."""
+    """Exact physical impedance sweep down the ``pool -> serial`` ladder
+    (the parallel counterpart of :func:`repro.simulation.ac.ac_sweep`).
+    ``breaker`` guards the pool tier, ``deadline`` is checked between
+    serial chunks, and ``faults`` (a
+    :class:`~repro.robustness.faultinject.ServiceFaultPlan`) fires
+    ``pool.crash@chunk`` in the pool tier."""
     s_values = np.atleast_1d(np.asarray(s_values)).ravel()
-    kernel = parallel_ac_kernel(
+    kernel, tier, transition = _exact_ladder(
         system, system.transfer.sigma(s_values), workers=workers,
-        monitor=monitor,
+        monitor=monitor, breaker=breaker, deadline=deadline, faults=faults,
     )
     pref = np.atleast_1d(np.asarray(system.transfer.prefactor(s_values)))
     if pref.size == 1:
         pref = np.full(s_values.size, pref.ravel()[0])
     z = kernel * pref[:, None, None]
     return FrequencyResponse(
-        s=s_values, z=z, port_names=list(system.port_names), label=label
+        s=s_values, z=z, port_names=list(system.port_names), label=label,
+        tier=tier, transition=transition,
+    )
+
+
+def direct_sweep(
+    model, s_values: np.ndarray, *, label: str = "", deadline=None
+) -> FrequencyResponse:
+    """The model ladder's ``direct`` tier: per-point scalar
+    ``model.impedance`` (one dense solve, no compiled or batched path)
+    in chunks, checking ``deadline`` between them."""
+    s_values = np.atleast_1d(np.asarray(s_values)).ravel()
+    ports = list(getattr(model, "port_names", []) or []) or [
+        f"p{k}" for k in range(int(model.num_ports))
+    ]
+
+    def evaluate(chunk):
+        return np.array(
+            [model.impedance(complex(sk)) for sk in chunk], dtype=complex
+        ).reshape(chunk.size, len(ports), len(ports))
+
+    z = batched_eval(evaluate, s_values, chunk=SERIAL_CHUNK, deadline=deadline)
+    return FrequencyResponse(
+        s=s_values, z=z, port_names=ports, label=label or "direct",
     )

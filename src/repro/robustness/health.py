@@ -147,7 +147,7 @@ class ReductionHealth:
     recovery_failures: int = 0
     sweep_fallbacks: int = 0
     precision_events: list[dict] = field(default_factory=list)
-    service_degradations: list[dict] = field(default_factory=list)
+    sweep_transitions: list[dict] = field(default_factory=list)
     events: list[HealthEvent] = field(default_factory=list)
 
     @classmethod
@@ -193,10 +193,9 @@ class ReductionHealth:
                 health.recovery_failures += 1
             elif event.category == "engine.sweep":
                 health.sweep_fallbacks += 1
+                health.sweep_transitions.append(dict(data))
             elif event.category == "engine.precision":
                 health.precision_events.append(dict(data))
-            elif event.category == "service.degrade":
-                health.service_degradations.append(dict(data))
 
         loss_bad = (
             health.orthogonality_loss is not None
@@ -229,7 +228,7 @@ class ReductionHealth:
             "recovery_failures": self.recovery_failures,
             "sweep_fallbacks": self.sweep_fallbacks,
             "precision_events": _jsonify(self.precision_events),
-            "service_degradations": _jsonify(self.service_degradations),
+            "sweep_transitions": _jsonify(self.sweep_transitions),
         }
         if include_events:
             out["events"] = [e.to_dict() for e in self.events]

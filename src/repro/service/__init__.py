@@ -13,9 +13,10 @@ A long-running asyncio service wrapping one
 * a circuit breaker around the process-pool sweep tier,
 * cross-request micro-batching of compiled sweeps sharing one model
   fingerprint (:mod:`repro.service.batching`), and
-* graceful degradation ladders (pool / compiled -> chunked serial ->
-  per-point direct solves), every tier switch observable through the
-  shared :class:`~repro.robustness.health.HealthMonitor`.
+* graceful degradation down the engine's sweep ladder (exact
+  ``pool -> serial``, model ``compiled -> direct``), every tier
+  transition observable through the shared
+  :class:`~repro.robustness.health.HealthMonitor`.
 
 See ``docs/SERVICE.md`` for the wire protocol and failure semantics.
 """
@@ -34,7 +35,6 @@ from repro.service.protocol import (
     ok_response,
 )
 from repro.service.resilience import (
-    BreakerOpen,
     CircuitBreaker,
     Deadline,
     DeadlineExceeded,
@@ -47,7 +47,6 @@ from repro.service.stdio import serve_stdio
 
 __all__ = [
     "BreakerConfig",
-    "BreakerOpen",
     "CircuitBreaker",
     "Deadline",
     "DeadlineExceeded",

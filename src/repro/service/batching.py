@@ -14,16 +14,19 @@ axis, so each point's value is independent of whatever other points
 ride in the same batch: the scattered slices are **bitwise identical**
 to what each request would have computed alone.
 
-Failure semantics: one evaluation failure is delivered to every
-request in the batch, and each request's own degradation ladder
-(compiled -> chunked-serial -> direct) takes over individually.  A
-request whose deadline expires while queued abandons only its own
-future; the shared evaluation still completes for the others.
+Failure semantics: the shared evaluation is one walk down the engine's
+model ladder (``compiled -> direct``), so a compiled-tier failure falls
+to the direct tier once for the whole batch and every rider's slice
+names the tier that computed it; an error no tier can fix is delivered
+to every request in the batch.  A request whose deadline expires while
+queued abandons only its own future; the shared evaluation still
+completes for the others.
 """
 
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import time
 
 import numpy as np
@@ -54,7 +57,7 @@ class SweepBatcher:
     ----------
     evaluate:
         ``async (model, s_concat) -> FrequencyResponse`` over the merged
-        grid -- the service supplies its compiled tier here, so batched
+        grid -- the service supplies its engine sweep here, so batched
         and unbatched requests run the exact same evaluation path.
     window_ms:
         How long the first request of a batch waits for company.
@@ -137,7 +140,7 @@ class SweepBatcher:
                     future.cancel()
             raise
         except Exception as exc:
-            # every rider sees the failure and degrades individually
+            # every rider sees the failure
             for _, future, _ in batch.requests:
                 if not future.done():
                     future.set_exception(exc)
@@ -176,11 +179,4 @@ class SweepBatcher:
 
 def _reslice(response, s: np.ndarray, z: np.ndarray):
     """This request's slice of the merged response, same shape as solo."""
-    from repro.simulation.results import FrequencyResponse
-
-    return FrequencyResponse(
-        s=s,
-        z=z,
-        port_names=list(response.port_names),
-        label=response.label,
-    )
+    return dataclasses.replace(response, s=s, z=z)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.robustness.guards import BreakerConfig
+
 __all__ = ["RetryConfig", "BreakerConfig", "ServiceConfig"]
 
 
@@ -34,15 +36,6 @@ class RetryConfig:
     seed: int = 0
 
 
-@dataclass(frozen=True)
-class BreakerConfig:
-    """Circuit breaker around the process-pool sweep tier."""
-
-    fail_threshold: int = 3     # consecutive failures that open the breaker
-    cooldown: float = 0.05      # open -> half-open delay
-    probe_successes: int = 1    # half-open successes that close it
-
-
 @dataclass
 class ServiceConfig:
     """Knobs for one :class:`~repro.service.runtime.MacromodelService`."""
@@ -64,10 +57,6 @@ class ServiceConfig:
     # resilience --------------------------------------------------------
     retry: RetryConfig = field(default_factory=RetryConfig)
     breaker: BreakerConfig = field(default_factory=BreakerConfig)
-    robust_reductions: bool = True   # retry failed reductions via the
-    #                                  robust_reduce recovery ladder
-    # sweep ladder ------------------------------------------------------
-    serial_chunk: int = 256     # grid chunk for the chunked-serial tier
     # payload guard: points * ports^2 complex values per sweep response
     max_response_values: int = 2_000_000
     # micro-batching ----------------------------------------------------

@@ -2,72 +2,35 @@
 
 Small, dependency-free building blocks, each independently testable:
 
-* :class:`Deadline` -- a monotonic per-request wall budget; stages check
-  ``remaining()`` cooperatively and raise :class:`DeadlineExceeded`.
 * :class:`RetryPolicy` -- bounded attempts with exponential backoff and
   *deterministic* jitter (seeded per request key, so a replayed trace
   backs off identically while distinct requests decorrelate).
-* :class:`CircuitBreaker` -- classic closed / open / half-open automaton
-  guarding the process-pool sweep tier; trips after N consecutive
-  failures, short-circuits to the degraded tier while open, and probes
-  for recovery after a cooldown.
 * :class:`SingleFlight` -- per-key coalescing of concurrent identical
   work: one task computes, every other awaiter shares the result.
 * :class:`LatencyHistogram` -- fixed log-spaced buckets for per-stage
   latency, JSON-ready for the ``stats`` endpoint.
+
+:class:`Deadline` and :class:`CircuitBreaker` live in
+:mod:`repro.robustness.guards` (the engine's sweep ladder honors them)
+and are re-exported here.
 """
 
 from __future__ import annotations
 
 import asyncio
 import hashlib
-import time
-from dataclasses import dataclass
 
-from repro.errors import ReproError
-from repro.service.config import BreakerConfig, RetryConfig
+from repro.robustness.guards import CircuitBreaker, Deadline, DeadlineExceeded
+from repro.service.config import RetryConfig
 
 __all__ = [
     "DeadlineExceeded",
     "Deadline",
     "RetryPolicy",
     "CircuitBreaker",
-    "BreakerOpen",
     "SingleFlight",
     "LatencyHistogram",
 ]
-
-
-class DeadlineExceeded(ReproError):
-    """The request's wall budget ran out (mapped to ``deadline_exceeded``)."""
-
-
-@dataclass
-class Deadline:
-    """Monotonic deadline; ``None`` budget means unbounded."""
-
-    expires_at: float | None
-
-    @classmethod
-    def after(cls, seconds: float | None) -> "Deadline":
-        if seconds is None:
-            return cls(expires_at=None)
-        return cls(expires_at=time.monotonic() + float(seconds))
-
-    def remaining(self) -> float | None:
-        """Seconds left, or ``None`` when unbounded (never negative)."""
-        if self.expires_at is None:
-            return None
-        return max(0.0, self.expires_at - time.monotonic())
-
-    def expired(self) -> bool:
-        return self.expires_at is not None and time.monotonic() >= self.expires_at
-
-    def check(self, stage: str = "") -> None:
-        """Cooperative cancellation point: raise when out of budget."""
-        if self.expired():
-            where = f" at stage {stage!r}" if stage else ""
-            raise DeadlineExceeded(f"deadline exceeded{where}")
 
 
 def _jitter_unit(seed: int, key: str, attempt: int) -> float:
@@ -106,95 +69,6 @@ class RetryPolicy:
     def schedule(self, key: str = "") -> list[float]:
         """Every backoff delay this policy would apply, in order."""
         return [self.delay(i, key) for i in range(1, self.attempts)]
-
-
-class BreakerOpen(ReproError):
-    """The circuit breaker is open: the guarded tier is short-circuited."""
-
-
-class CircuitBreaker:
-    """Closed / open / half-open automaton with monotonic cooldown.
-
-    ``call``-free design: the runtime brackets the guarded operation
-    with :meth:`allow`, then reports :meth:`record_success` /
-    :meth:`record_failure`.  That keeps the breaker synchronous and
-    trivially testable while the guarded work runs on executor threads.
-    """
-
-    CLOSED, OPEN, HALF_OPEN = "closed", "open", "half-open"
-
-    def __init__(self, config: BreakerConfig | None = None, *, clock=time.monotonic):
-        self.config = config or BreakerConfig()
-        self._clock = clock
-        self.state = self.CLOSED
-        self.consecutive_failures = 0
-        self._opened_at: float | None = None
-        self._half_open_successes = 0
-        self._probe_inflight = False
-        self.stats = {
-            "trips": 0, "short_circuits": 0, "probes": 0, "recoveries": 0,
-            "failures": 0, "successes": 0,
-        }
-
-    # ------------------------------------------------------------------
-    def allow(self) -> bool:
-        """May the guarded tier run now?  (May transition open->half-open.)"""
-        if self.state == self.CLOSED:
-            return True
-        if self.state == self.OPEN:
-            elapsed = self._clock() - (self._opened_at or 0.0)
-            if elapsed >= self.config.cooldown:
-                self.state = self.HALF_OPEN
-                self._half_open_successes = 0
-                self._probe_inflight = False
-            else:
-                self.stats["short_circuits"] += 1
-                return False
-        # half-open: admit one probe at a time
-        if self._probe_inflight:
-            self.stats["short_circuits"] += 1
-            return False
-        self._probe_inflight = True
-        self.stats["probes"] += 1
-        return True
-
-    def record_success(self) -> None:
-        self.stats["successes"] += 1
-        if self.state == self.HALF_OPEN:
-            self._probe_inflight = False
-            self._half_open_successes += 1
-            if self._half_open_successes >= self.config.probe_successes:
-                self.state = self.CLOSED
-                self.consecutive_failures = 0
-                self.stats["recoveries"] += 1
-        else:
-            self.consecutive_failures = 0
-
-    def record_failure(self) -> None:
-        self.stats["failures"] += 1
-        if self.state == self.HALF_OPEN:
-            self._probe_inflight = False
-            self._trip()
-            return
-        self.consecutive_failures += 1
-        if (
-            self.state == self.CLOSED
-            and self.consecutive_failures >= self.config.fail_threshold
-        ):
-            self._trip()
-
-    def _trip(self) -> None:
-        self.state = self.OPEN
-        self._opened_at = self._clock()
-        self.stats["trips"] += 1
-        self.consecutive_failures = 0
-
-    def describe(self) -> dict:
-        return {
-            "state": self.state,
-            "consecutive_failures": self.consecutive_failures,
-            **self.stats,
-        }
 
 
 class SingleFlight:

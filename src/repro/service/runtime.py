@@ -19,18 +19,21 @@ in an asyncio request front that survives real traffic:
   deterministic jitter; *reduction* failures retry once through the
   :func:`~repro.robustness.recovery.robust_reduce` recovery ladder;
 * **circuit breaker** -- repeated process-pool sweep failures trip the
-  breaker; while open, exact sweeps go straight to the serial tier, and
-  after a cooldown one probe request tests the pool again;
+  breaker the service hands to the engine's pool tier; while open,
+  exact sweeps go straight to the serial tier, and after a cooldown one
+  probe request tests the pool again;
 * **micro-batching** -- distinct compiled-sweep requests sharing one
   model fingerprint are held for ``batch_window_ms`` and merged into a
   single broadcast evaluation (:mod:`repro.service.batching`); slices
   scattered back are bitwise identical to solo evaluation, and
   batch-occupancy / queue-delay histograms land in ``stats``;
-* **graceful degradation** -- sweeps walk a tier ladder
-  (pool / compiled -> chunked serial -> per-point direct solves); every
-  tier switch is recorded as a ``service.degrade``
-  :class:`~repro.robustness.health.HealthMonitor` event, so degraded
-  service is observable, never silent.
+* **graceful degradation** -- sweeps run down the engine's one sweep
+  ladder (:mod:`repro.engine.sweep`: exact ``pool -> serial``, model
+  ``compiled -> direct``); each response names the tier that computed
+  it, and every tier transition is one ``engine.sweep``
+  :class:`~repro.robustness.health.HealthMonitor` event that also
+  feeds the ``degradations`` counter, so degraded service is
+  observable, never silent.
 
 The runtime is front-agnostic: :meth:`MacromodelService.handle` maps a
 request dict to a response dict (schema in
@@ -52,6 +55,7 @@ from repro.engine import Engine
 from repro.engine.cache import reduction_key
 from repro.errors import ReproError, SimulationError
 from repro.robustness.faultinject import InjectedServiceFault, ServiceFaultPlan
+from repro.robustness.guards import CircuitBreaker, Deadline, DeadlineExceeded
 from repro.robustness.health import HealthMonitor
 from repro.service.batching import SweepBatcher
 from repro.service.config import ServiceConfig
@@ -62,9 +66,6 @@ from repro.service.protocol import (
     ok_response,
 )
 from repro.service.resilience import (
-    CircuitBreaker,
-    Deadline,
-    DeadlineExceeded,
     LatencyHistogram,
     RetryPolicy,
     SingleFlight,
@@ -79,13 +80,6 @@ _PARSE_CACHE = 32
 
 def _text_key(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
-
-
-def _model_ports(model) -> list[str]:
-    names = list(getattr(model, "port_names", []) or [])
-    if not names:
-        names = [f"p{k}" for k in range(int(model.num_ports))]
-    return names
 
 
 class MacromodelService:
@@ -136,7 +130,7 @@ class MacromodelService:
         self.breaker = CircuitBreaker(self.config.breaker)
         self.singleflight = SingleFlight()
         self.batcher = SweepBatcher(
-            self._batched_compiled_eval,
+            self._engine_sweep,
             window_ms=self.config.batch_window_ms,
             max_size=self.config.batch_max_size,
         )
@@ -424,7 +418,7 @@ class MacromodelService:
             except InjectedServiceFault:
                 raise
             except ReproError:
-                if not (self.config.robust_reductions and recoverable):
+                if not recoverable:
                     raise
                 # the retry policy for reduction failures IS the
                 # robust_reduce recovery ladder
@@ -471,7 +465,7 @@ class MacromodelService:
         }
 
     # ------------------------------------------------------------------
-    # sweep stage (degradation ladder + breaker)
+    # sweep stage (the engine's sweep ladder)
     # ------------------------------------------------------------------
     def _sweep_grid(self, params: dict) -> np.ndarray:
         band = params.get("band")
@@ -506,17 +500,27 @@ class MacromodelService:
         exact = bool(params.get("exact", False))
         started = time.monotonic()
         if exact:
-            tier, response = await self._exact_sweep(system, s, deadline)
+            pending = self._engine_sweep(
+                system, s, breaker=self.breaker, deadline=deadline,
+                faults=self.faults,
+            )
             meta: dict = {"mode": "exact"}
         else:
             key, model, meta = await self._obtain_model(
                 system, params, deadline
             )
-            tier, response = await self._model_sweep(
-                model, s, deadline, key=key
+            # requests sharing the model fingerprint within
+            # batch_window_ms merge into one broadcast evaluation
+            # (elementwise across frequency, so the scattered slices
+            # are bitwise identical to solo sweeps)
+            pending = (
+                self.batcher.submit(key, model, s) if self.batcher.enabled
+                else self._engine_sweep(model, s, deadline=deadline)
             )
             meta = {"mode": "reduced", **meta}
+        response = await self._await_deadline(pending, deadline, "sweep")
         self.latency["sweep"].observe(time.monotonic() - started)
+        tier = response.tier
         self.counters["tiers"][tier] = self.counters["tiers"].get(tier, 0) + 1
         result = {
             **meta,
@@ -534,169 +538,16 @@ class MacromodelService:
             result["port_names"] = list(response.port_names)
         return result
 
-    async def _run_ladder(self, tiers, deadline: Deadline):
-        """Walk degradation tiers; record every switch; re-raise what no
-        tier can fix (deadlines, genuinely singular points)."""
-        last: Exception | None = None
-        for index, (name, fn, guarded) in enumerate(tiers):
-            deadline.check(name)
-            if guarded and not self.breaker.allow():
-                self._record_degrade(
-                    name, tiers, index, "breaker-open", short_circuit=True
-                )
-                continue
-            try:
-                result = await fn()
-            except (DeadlineExceeded, asyncio.CancelledError):
-                raise
-            except SimulationError:
-                raise  # a singular point fails identically on every tier
-            except Exception as exc:
-                if guarded:
-                    self.breaker.record_failure()
-                last = exc
-                self._record_degrade(
-                    name, tiers, index,
-                    f"{type(exc).__name__}: {exc}", short_circuit=False,
-                )
-                continue
-            if guarded:
-                self.breaker.record_success()
-            return name, result
-        assert last is not None
-        raise last
-
-    def _record_degrade(
-        self, tier: str, tiers, index: int, reason: str, *, short_circuit: bool
-    ) -> None:
-        next_tier = tiers[index + 1][0] if index + 1 < len(tiers) else None
-        edge = f"{tier}->{next_tier or 'none'}"
-        self.counters["degradations"][edge] = (
-            self.counters["degradations"].get(edge, 0) + 1
-        )
-        self.monitor.record(
-            "service.degrade",
-            from_tier=tier,
-            to_tier=next_tier,
-            reason=reason,
-            breaker_short_circuit=short_circuit,
-        )
-
-    async def _exact_sweep(self, system, s: np.ndarray, deadline: Deadline):
-        """Exact-sweep ladder: pool -> chunked serial -> per-point direct."""
-        from repro.engine.sweep import parallel_ac_sweep
-        from repro.simulation.ac import ac_sweep
-
-        async def pool_tier():
-            if self.faults is not None:
-                self.faults.maybe_crash_pool("chunk")
-            return await self._await_deadline(
-                asyncio.to_thread(
-                    parallel_ac_sweep, system, s,
-                    workers=self.config.workers, monitor=self.monitor,
-                ),
-                deadline, "sweep",
-            )
-
-        async def serial_tier():
-            return await self._chunked_sweep(
-                lambda chunk: ac_sweep(system, chunk), s, deadline,
-                self.config.serial_chunk, system.port_names,
-            )
-
-        async def direct_tier():
-            return await self._chunked_sweep(
-                lambda chunk: ac_sweep(system, chunk), s, deadline,
-                1, system.port_names,
-            )
-
-        return await self._run_ladder(
-            [
-                ("pool", pool_tier, True),
-                ("chunked-serial", serial_tier, False),
-                ("direct", direct_tier, False),
-            ],
-            deadline,
-        )
-
-    async def _batched_compiled_eval(self, model, s: np.ndarray):
-        """The one evaluation path behind the batcher: identical to the
-        unbatched compiled tier, just over the merged grid."""
-        return await asyncio.to_thread(self.engine.sweep, model, s)
-
-    async def _model_sweep(
-        self, model, s: np.ndarray, deadline: Deadline, *, key: str | None = None
-    ):
-        """Reduced-sweep ladder: compiled (batched) -> chunked serial ->
-        direct.  ``key`` is the model's reduction fingerprint; requests
-        sharing it within ``batch_window_ms`` merge into one broadcast
-        evaluation (compiled evaluation is elementwise across the
-        frequency axis, so the scattered slices are bitwise identical
-        to solo sweeps)."""
-        from repro.simulation.ac import model_sweep
-
-        ports = _model_ports(model)
-
-        async def compiled_tier():
-            if key is not None and self.batcher.enabled:
-                return await self._await_deadline(
-                    self.batcher.submit(key, model, s), deadline, "sweep"
-                )
-            return await self._await_deadline(
-                asyncio.to_thread(self.engine.sweep, model, s),
-                deadline, "sweep",
-            )
-
-        async def serial_tier():
-            return await self._chunked_sweep(
-                lambda chunk: model_sweep(model, chunk), s, deadline,
-                self.config.serial_chunk, ports,
-            )
-
-        async def direct_tier():
-            # scalar evaluation per point: one dense solve, zero
-            # compiled-path involvement -- the last-resort tier
-            def one_point(sk):
-                z = np.asarray(model.impedance(complex(sk)))
-                return z[np.newaxis, ...]
-
-            return await self._chunked_sweep(
-                lambda chunk: _stack_response(
-                    [one_point(sk) for sk in chunk], chunk, ports
-                ),
-                s, deadline, max(1, self.config.serial_chunk // 8), ports,
-            )
-
-        return await self._run_ladder(
-            [
-                ("compiled", compiled_tier, False),
-                ("chunked-serial", serial_tier, False),
-                ("direct", direct_tier, False),
-            ],
-            deadline,
-        )
-
-    async def _chunked_sweep(
-        self, evaluate, s: np.ndarray, deadline: Deadline, chunk: int,
-        port_names,
-    ):
-        """Run ``evaluate`` chunk by chunk with cooperative deadline
-        checks between chunks (the degradation tiers' shared driver)."""
-        from repro.simulation.results import FrequencyResponse
-
-        chunk = max(1, int(chunk))
-        parts = []
-        for lo in range(0, s.size, chunk):
-            deadline.check("sweep-chunk")
-            piece = s[lo:lo + chunk]
-            part = await asyncio.to_thread(evaluate, piece)
-            parts.append(np.asarray(part.z))
-        return FrequencyResponse(
-            s=s,
-            z=np.concatenate(parts, axis=0),
-            port_names=list(port_names),
-            label="service",
-        )
+    async def _engine_sweep(self, target, s: np.ndarray, **kw):
+        """One walk down the engine's sweep ladder on a worker thread
+        (the batcher's evaluation path too); its tier transition, if
+        any, is counted once here."""
+        response = await asyncio.to_thread(self.engine.sweep, target, s, **kw)
+        edge = response.transition
+        if edge is not None:
+            degradations = self.counters["degradations"]
+            degradations[edge] = degradations.get(edge, 0) + 1
+        return response
 
     # ------------------------------------------------------------------
     # metrics
@@ -712,10 +563,7 @@ class MacromodelService:
                 "pending": self._pending,
                 "inflight": self._active,
                 "queued": max(0, self._pending - self._active),
-                **{
-                    k: v
-                    for k, v in self.counters.items()
-                },
+                **self.counters,
                 "singleflight": {
                     "starts": self.singleflight.starts,
                     "hits": self.singleflight.hits,
@@ -784,15 +632,3 @@ class MacromodelService:
             raise DeadlineExceeded(
                 f"deadline exceeded at stage {stage!r}"
             ) from None
-
-
-def _stack_response(parts, s, port_names):
-    """Assemble per-point kernels into a FrequencyResponse-shaped object."""
-    from repro.simulation.results import FrequencyResponse
-
-    return FrequencyResponse(
-        s=np.asarray(s),
-        z=np.concatenate(parts, axis=0),
-        port_names=list(port_names),
-        label="direct",
-    )

@@ -121,10 +121,10 @@ def ac_kernel_prepared(
 ) -> np.ndarray:
     """The exact per-point solve loop over prepared operands.
 
-    This is the single implementation behind the serial path, the
-    per-call process pool, and the persistent pool workers -- every
-    transport runs these exact operations, so results are bitwise
-    independent of how the operands arrived.  ``factor_cache`` (an
+    This is the single implementation behind both tiers of the exact
+    sweep ladder, serial and the pool workers -- every transport runs
+    these exact operations, so results are bitwise independent of how
+    the operands arrived.  ``factor_cache`` (an
     object with ``get(sigma)`` / ``put(sigma, lu)``) lets a persistent
     worker reuse LU factorizations across repeated sweeps of the same
     grid; a cached factor is the same object a fresh factorization

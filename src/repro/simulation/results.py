@@ -25,12 +25,20 @@ class FrequencyResponse:
         Port ordering of the matrix axes.
     label:
         Free-form tag ("exact", "sympvl n=48", ...) used in reports.
+    tier:
+        The sweep-ladder tier that computed it (``pool`` / ``serial`` /
+        ``compiled`` / ``direct``; see :mod:`repro.engine.sweep`), or
+        ``""`` outside the ladder.
+    transition:
+        The ``"from->to"`` ladder edge the sweep fell down, if any.
     """
 
     s: np.ndarray
     z: np.ndarray
     port_names: list[str]
     label: str = ""
+    tier: str = ""
+    transition: str | None = None
 
     def __post_init__(self) -> None:
         self.s = np.asarray(self.s)

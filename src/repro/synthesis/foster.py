@@ -124,10 +124,11 @@ def foster_sections(model: ReducedOrderModel, tol: float = 1e-14) -> list[Foster
 def _normalize_sections(
     sections: list[FosterSection], sigma0: float
 ) -> list[FosterSection]:
-    """Regularize degenerate near-origin sections.
+    """Regularize degenerate sections before they reach a netlist.
 
-    Both pathologies are relative to the expansion point ``sigma0``
-    (the resolution limit for pole locations near the origin):
+    The near-origin pathologies are relative to the expansion point
+    ``sigma0`` (the resolution limit for pole locations near the
+    origin):
 
     * a "standard" section whose pole ``-1/tau`` lies within
       ``~1e-8 * sigma0`` of the origin is numerically the origin term
@@ -138,17 +139,15 @@ def _normalize_sections(
       realizes as an absurd series capacitor that wrecks the
       synthesized circuit's conditioning -- drop it.
 
-    With ``sigma0 = 0`` neither degeneracy can occur (an origin pole
-    would have made ``G`` singular and unfactorable) and the sections
-    pass through unchanged.
+    With ``sigma0 = 0`` neither can occur (an origin pole would have
+    made ``G`` singular and unfactorable); the negligible-section drop
+    below applies at every expansion point.
     """
-    if sigma0 <= 0.0:
-        return sections
-
     converted: list[FosterSection] = []
     for section in sections:
         if (
-            section.kind == "standard"
+            sigma0 > 0.0
+            and section.kind == "standard"
             and section.tau * sigma0 > 1e8
             and section.tau < float("inf")
         ):
@@ -173,18 +172,38 @@ def _normalize_sections(
     # Two more roundoff degeneracies, both harmless to the response but
     # fatal to the synthesized netlist's conditioning:
     #
-    # * a section whose |r| is negligible against the dominant sections
-    #   contributes at most |r| to the series impedance (for an RC pole
-    #   ``|1 + j omega tau| >= 1``) yet stamps a near-short branch
-    #   conductance ``1/r`` into the MNA -- drop it;
+    # * a section whose magnitude at the expansion corner,
+    #   ``|r| / (1 + sigma0 |tau|)``, is negligible against the largest
+    #   one (``|a| / sigma0`` for the origin term) barely touches the
+    #   in-band response yet stamps a near-short into the MNA: a branch
+    #   conductance ``1/r`` for a tiny ``r``, or a huge parallel
+    #   capacitor ``tau / r`` -- drop it.  The largest raw ``|r|`` is no
+    #   reference: a near-origin pole carries an enormous ``r`` that its
+    #   ``tau`` cancels in band, and measuring against it would drop the
+    #   real sections.  The cut is 1e-9: a near-short ~3e11 times
+    #   stronger than the rest (``n=14, seed=2241`` RC, order 7) already
+    #   costs the sparse solve ~1e-4 relative accuracy, and stronger
+    #   ones make the synthesized netlist numerically singular -- a
+    #   260 F Cauer shunt capacitor (``n=13, seed=1483``, order 4), an
+    #   84 F Foster one from a near-double eigenvalue at ``1/sigma0``
+    #   that roundoff split by ~``sqrt(eps)`` (``n=10, seed=4110``,
+    #   order 5), a 0.6 nOhm resistor at ``sigma0 = 0``
+    #   (``n=13, seed=9989``, order 6);
     # * a section whose ``tau`` is at roundoff scale against the band
     #   (``|tau| * sigma0 <~ eps``) realizes as an eps-level, possibly
     #   *negative*, parallel capacitor -- snap it to a pure resistor.
+    in_band = [
+        abs(s.resistance) / (1.0 + sigma0 * abs(s.tau)) for s in kept
+    ]
+    if origin_total != 0.0:
+        z_ref = max(in_band + [abs(origin_total) / sigma0])
+    else:
+        z_ref = max(in_band, default=0.0)
     regularized: list[FosterSection] = []
-    for section in kept:
-        if r_ref > 0.0 and abs(section.resistance) <= 1e-12 * r_ref:
+    for section, magnitude in zip(kept, in_band):
+        if magnitude <= 1e-9 * z_ref:
             continue
-        if abs(section.tau) * sigma0 <= 1e-16:
+        if sigma0 > 0.0 and abs(section.tau) * sigma0 <= 1e-16:
             section = FosterSection(section.resistance, 0.0)
         regularized.append(section)
     kept = regularized

@@ -1,8 +1,9 @@
 """The persistent shared-memory sweep pool (:mod:`repro.engine.pool`).
 
 The load-bearing claim is bitwise identity: whatever transport a sweep
-takes -- serial, per-call pool, cold persistent pool, warm persistent
-pool, pickle fallback -- the kernel array must be bit-for-bit the same.
+takes -- serial, a one-shot per-call pool (the reference baseline
+below), cold persistent pool, warm persistent pool, pickle fallback --
+the kernel array must be bit-for-bit the same.
 Everything else here exercises the lifecycle (lazy start, reuse, idle
 shutdown, crash restart) and the observability surface.
 
@@ -22,14 +23,31 @@ import numpy as np
 import pytest
 
 import repro
+import repro.engine.sweep as sweep_mod
 from repro.engine import pool as engine_pool
 from repro.engine.pool import PoolConfig, SweepPool
-from repro.engine.sweep import _per_call_pool_kernel, parallel_ac_kernel
+from repro.engine.sweep import parallel_ac_kernel
 from repro.robustness import HealthMonitor
 from repro.simulation.ac import ac_kernel
 
 #: idle timer disabled -- lifecycle tests arm it explicitly
 NO_IDLE = PoolConfig(idle_timeout=0.0)
+
+
+def _ac_chunk(payload):
+    system, sigma_chunk = payload
+    return ac_kernel(system, sigma_chunk)
+
+
+def _per_call_pool_kernel(system, chunks, n_workers: int):
+    """One-shot ``ProcessPoolExecutor`` sweep: the transport-free
+    reference every pool path must match bit for bit."""
+    import concurrent.futures as futures
+
+    with futures.ProcessPoolExecutor(max_workers=n_workers) as pool:
+        return list(
+            pool.map(_ac_chunk, [(system, chunk) for chunk in chunks])
+        )
 
 
 @pytest.fixture(autouse=True)
@@ -44,7 +62,6 @@ def pool_sandbox():
 
 class TestPoolConfig:
     def test_env_knobs(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POOL_PERSISTENT", "off")
         monkeypatch.setenv("REPRO_POOL_IDLE_TIMEOUT", "7.5")
         monkeypatch.setenv("REPRO_POOL_SHM", "0")
         monkeypatch.setenv("REPRO_POOL_SHM_MODELS", "2")
@@ -52,7 +69,7 @@ class TestPoolConfig:
         monkeypatch.setenv("REPRO_POOL_WARMUP", "false")
         config = PoolConfig.from_env()
         assert config == PoolConfig(
-            persistent=False, idle_timeout=7.5, use_shm=False,
+            idle_timeout=7.5, use_shm=False,
             shm_models=2, lu_cache=0, warmup=False,
         )
 
@@ -146,6 +163,28 @@ class TestLifecycle:
         finally:
             pool.shutdown()
 
+    def test_warm_evals_count_after_an_idle_shutdown(
+        self, rc_two_port_system
+    ):
+        """An eval is warm when its executor was already running -- also
+        after the idle timer has shut the pool down and it restarted."""
+        pool = SweepPool(PoolConfig(idle_timeout=0.2, warmup=False))
+        sigma = 1j * np.logspace(7, 10, 4)
+        try:
+            pool.eval(rc_two_port_system, sigma, workers=2)
+            deadline = time.monotonic() + 10.0
+            while pool.running() and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert pool.describe()["idle_shutdowns"] == 1
+            pool.eval(rc_two_port_system, sigma, workers=2)  # cold restart
+            pool.eval(rc_two_port_system, sigma, workers=2)  # warm
+            state = pool.describe()
+            assert state["cold_starts"] == 2
+            assert state["evals"] == 3
+            assert state["warm_evals"] == 1
+        finally:
+            pool.shutdown()
+
     def test_worker_crash_triggers_restart_and_correct_result(
         self, rc_two_port_system
     ):
@@ -216,12 +255,10 @@ class TestTransportFailures:
 
 
 class TestKernelLadder:
-    """parallel_ac_kernel routes through the persistent tier first."""
+    """parallel_ac_kernel runs the exact ladder: pool -> serial."""
 
     @pytest.fixture(autouse=True)
     def many_cpus(self, monkeypatch):
-        import repro.engine.sweep as sweep_mod
-
         monkeypatch.setattr(sweep_mod.os, "cpu_count", lambda: 8)
         monkeypatch.setattr(
             sweep_mod.os, "sched_getaffinity",
@@ -229,7 +266,7 @@ class TestKernelLadder:
         )
 
     def test_persistent_tier_serves_the_sweep(self, rc_two_port_system):
-        engine_pool.configure(persistent=True, idle_timeout=0.0)
+        engine_pool.configure(idle_timeout=0.0)
         monitor = HealthMonitor()
         sigma = 1j * np.logspace(7, 10, 32)
         out = parallel_ac_kernel(
@@ -247,7 +284,7 @@ class TestKernelLadder:
     def test_broken_persistent_tier_drops_one_rung(
         self, rc_two_port_system, monkeypatch
     ):
-        engine_pool.configure(persistent=True, idle_timeout=0.0)
+        engine_pool.configure(idle_timeout=0.0)
 
         def explode(self, *args, **kwargs):
             raise RuntimeError("persistent tier down")
@@ -255,26 +292,32 @@ class TestKernelLadder:
         monkeypatch.setattr(engine_pool.SweepPool, "eval", explode)
         monitor = HealthMonitor()
         sigma = 1j * np.logspace(7, 10, 32)
-        out = parallel_ac_kernel(
-            rc_two_port_system, sigma,
-            workers=2, min_points_per_worker=4, monitor=monitor,
-        )
+        with pytest.warns(repro.errors.NumericalWarning):
+            sweep_mod._reset_fallback_warning()
+            out = parallel_ac_kernel(
+                rc_two_port_system, sigma,
+                workers=2, min_points_per_worker=4, monitor=monitor,
+            )
         assert np.array_equal(out, ac_kernel(rc_two_port_system, sigma))
-        events = monitor.by_category("engine.pool")
-        assert any(
-            event.data.get("action") == "tier-fallback" for event in events
-        )
-        # the per-call rung succeeded, so no engine.sweep fallback event
-        assert not monitor.by_category("engine.sweep")
+        # one fall, one transition event -- nothing else narrates it
+        events = monitor.by_category("engine.sweep")
+        assert len(events) == 1
+        assert events[0].data["from_tier"] == "pool"
+        assert events[0].data["to_tier"] == "serial"
+        assert events[0].data["error_class"] == "RuntimeError"
+        assert not monitor.by_category("engine.pool")
+        assert monitor.report().sweep_fallbacks == 1
 
-    def test_disabled_pool_skips_the_tier(self, rc_two_port_system):
-        engine_pool.configure(persistent=False)
-        sigma = 1j * np.logspace(7, 10, 32)
+    def test_infeasible_pool_skips_the_tier(self, rc_two_port_system):
+        """Too few points per worker: serial, no pool, no transition."""
+        monitor = HealthMonitor()
+        sigma = 1j * np.logspace(7, 10, 31)
         out = parallel_ac_kernel(
-            rc_two_port_system, sigma, workers=2, min_points_per_worker=4
+            rc_two_port_system, sigma, workers=2, monitor=monitor
         )
         assert np.array_equal(out, ac_kernel(rc_two_port_system, sigma))
         assert engine_pool.describe()["running"] is False
+        assert not monitor.events
 
 
 class TestModuleSingleton:
@@ -284,16 +327,15 @@ class TestModuleSingleton:
         engine_pool.shutdown_pool()
         assert engine_pool.get_pool() is not first
 
-    def test_configure_controls_pool_enabled(self):
-        engine_pool.configure(persistent=False)
-        assert not engine_pool.pool_enabled()
-        assert engine_pool.describe()["enabled"] is False
-        engine_pool.configure(persistent=True)
-        assert engine_pool.pool_enabled()
+    def test_configure_controls_transport(self):
+        engine_pool.configure(use_shm=False)
+        assert engine_pool.describe()["transport"] == "pickle"
+        engine_pool.configure(use_shm=True)
+        assert engine_pool.describe()["transport"] == "shm"
 
     def test_configure_ignores_none_values(self):
         engine_pool.configure(idle_timeout=42.0)
-        engine_pool.configure(persistent=None, idle_timeout=None)
+        engine_pool.configure(use_shm=None, idle_timeout=None)
         assert engine_pool.describe()["idle_timeout_s"] == 42.0
 
     def test_describe_without_forcing_a_pool(self):
@@ -306,4 +348,4 @@ class TestModuleSingleton:
         from repro.engine import Engine
 
         stats = Engine().stats()
-        assert set(stats["pool"]) >= {"enabled", "running", "transport"}
+        assert set(stats["pool"]) >= {"running", "transport"}

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import repro
+import repro.engine.sweep as sweep_mod
 from repro.engine import CompiledModel
 from repro.engine.sweep import (
     batched_eval,
@@ -13,6 +14,15 @@ from repro.engine.sweep import (
     parallel_ac_kernel,
     parallel_ac_sweep,
     resolve_workers,
+    run_ladder,
+)
+from repro.errors import SimulationError
+from repro.robustness import HealthMonitor
+from repro.robustness.guards import (
+    BreakerConfig,
+    CircuitBreaker,
+    Deadline,
+    DeadlineExceeded,
 )
 from repro.simulation.ac import _aligned_csc_pair, ac_kernel, ac_sweep
 
@@ -194,22 +204,110 @@ class TestParallelExact:
             assert np.allclose(out, results[0], rtol=1e-12, atol=0.0)
 
 
+class TestRunLadder:
+    """The ladder contract, on stand-in tiers (no processes)."""
+
+    @staticmethod
+    def fail():
+        raise RuntimeError("tier down")
+
+    def test_upper_tier_serves_without_events(self):
+        monitor = HealthMonitor()
+        out = run_ladder(
+            ("pool", lambda: 1), ("serial", lambda: 2),
+            points=3, monitor=monitor,
+        )
+        assert out == (1, "pool", None)
+        assert not monitor.events
+
+    def test_infeasible_upper_tier_is_no_transition(self):
+        monitor = HealthMonitor()
+        out = run_ladder(
+            ("pool", None), ("serial", lambda: 2), points=3, monitor=monitor
+        )
+        assert out == (2, "serial", None)
+        assert not monitor.events
+
+    def test_failure_is_one_transition_event(self):
+        monitor = HealthMonitor()
+        breaker = CircuitBreaker()
+        with pytest.warns(repro.errors.NumericalWarning):
+            sweep_mod._reset_fallback_warning()
+            out = run_ladder(
+                ("compiled", self.fail), ("direct", lambda: 2),
+                points=3, breaker=breaker, monitor=monitor,
+            )
+        assert out == (2, "direct", "compiled->direct")
+        [event] = monitor.events
+        assert event.category == "engine.sweep"
+        assert event.data["error_class"] == "RuntimeError"
+        assert event.data["breaker_short_circuit"] is False
+        assert breaker.describe()["failures"] == 1
+
+    def test_open_breaker_short_circuits(self):
+        monitor = HealthMonitor()
+        breaker = CircuitBreaker(BreakerConfig(fail_threshold=1))
+        breaker.record_failure()
+        out = run_ladder(
+            ("pool", self.fail), ("serial", lambda: 2),
+            points=3, breaker=breaker, monitor=monitor,
+        )
+        assert out == (2, "serial", "pool->serial")
+        [event] = monitor.events
+        assert event.data["breaker_short_circuit"] is True
+        assert event.data["reason"] == "breaker-open"
+
+    @pytest.mark.parametrize(
+        "error", [SimulationError, MemoryError, DeadlineExceeded]
+    )
+    def test_final_errors_are_not_walked_past(self, error):
+        monitor = HealthMonitor()
+
+        def upper():
+            raise error("final")
+
+        with pytest.raises(error):
+            run_ladder(
+                ("pool", upper), ("serial", self.fail),
+                points=3, monitor=monitor,
+            )
+        assert not monitor.events
+
+    def test_serial_tier_checks_the_deadline_between_chunks(
+        self, rc_two_port_system
+    ):
+        calls = []
+        deadline = Deadline.after(60.0)
+
+        def evaluate(chunk):
+            calls.append(chunk.size)
+            deadline.expires_at = 0.0  # budget gone after the first chunk
+            return np.zeros((chunk.size, 1, 1))
+
+        with pytest.raises(DeadlineExceeded):
+            batched_eval(evaluate, np.arange(10.0), chunk=4,
+                         deadline=deadline)
+        assert calls == [4]
+        with pytest.raises(DeadlineExceeded):
+            parallel_ac_sweep(
+                rc_two_port_system, 1j * np.logspace(7, 9, 8),
+                deadline=Deadline.after(0.0),
+            )
+
+
 class _ExplodingPool:
-    """ProcessPoolExecutor stand-in whose bring-up / map fails."""
+    """ProcessPoolExecutor stand-in whose task submission fails."""
 
     raises: type[BaseException] = OSError
 
     def __init__(self, *args, **kwargs):
         pass
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, payloads):
+    def submit(self, fn, *args):
         raise self.raises("injected pool failure")
+
+    def shutdown(self, *args, **kwargs):
+        pass
 
 
 class TestPoolFallbackObservability:
@@ -223,15 +321,14 @@ class TestPoolFallbackObservability:
             sweep_mod.os, "sched_getaffinity",
             lambda pid: set(range(8)), raising=False,
         )
-        # these tests inject failures into the *per-call* rung; pin the
-        # ladder there (the persistent tier is covered in test_pool.py)
-        # and re-arm the one-shot fallback warning for each test
-        was_enabled = engine_pool.pool_enabled()
-        engine_pool.configure(persistent=False)
-        sweep_mod._reset_pool_fallback_warning()
+        # these tests inject failures into the pool tier's executor;
+        # start each from a fresh pool with the one-shot fallback
+        # warning re-armed
+        engine_pool.shutdown_pool()
+        sweep_mod._reset_fallback_warning()
         yield
-        engine_pool.configure(persistent=was_enabled)
-        sweep_mod._reset_pool_fallback_warning()
+        engine_pool.shutdown_pool()
+        sweep_mod._reset_fallback_warning()
 
     def test_fallback_records_health_event(
         self, rc_two_port_system, monkeypatch
@@ -251,7 +348,8 @@ class TestPoolFallbackObservability:
         assert np.allclose(out, ac_kernel(rc_two_port_system, sigma))
         events = monitor.by_category("engine.sweep")
         assert len(events) == 1
-        assert events[0].data["stage"] == "pool-fallback"
+        assert events[0].data["from_tier"] == "pool"
+        assert events[0].data["to_tier"] == "serial"
         assert events[0].data["error_class"] == "OSError"
 
     def test_memory_error_reraised(self, rc_two_port_system, monkeypatch):

@@ -134,20 +134,23 @@ class TestServiceEvents:
         assert health.to_dict()["sweep_fallbacks"] == 1
 
     def test_service_degradations_collected(self):
+        """The sweep ladder's transitions are the service's degradations:
+        one ``engine.sweep`` event each, all collected."""
         monitor = HealthMonitor()
         monitor.record(
-            "service.degrade", from_tier="pool",
-            to_tier="chunked-serial", reason="crash",
+            "engine.sweep", from_tier="pool",
+            to_tier="serial", reason="crash",
             breaker_short_circuit=False,
         )
         monitor.record(
-            "service.degrade", from_tier="chunked-serial",
+            "engine.sweep", from_tier="compiled",
             to_tier="direct", reason="overload",
             breaker_short_circuit=False,
         )
         health = monitor.report()
-        assert len(health.service_degradations) == 2
-        assert health.service_degradations[0]["from_tier"] == "pool"
-        assert health.to_dict()["service_degradations"][1]["to_tier"] == (
+        assert health.sweep_fallbacks == 2
+        assert len(health.sweep_transitions) == 2
+        assert health.sweep_transitions[0]["from_tier"] == "pool"
+        assert health.to_dict()["sweep_transitions"][1]["to_tier"] == (
             "direct"
         )

@@ -1,11 +1,12 @@
 """The acceptance scenario: injected pool crashes degrade, never corrupt.
 
-A sticky ``pool.crash@chunk`` fault kills the process-pool sweep tier;
-concurrent exact-sweep requests must still return answers that match
-the per-point direct solves to 1e-10, the circuit breaker must trip
-(and its state / shed / retry counters surface in ``stats``), and
-clearing the fault must let the breaker close and the pool tier
-resume.
+A sticky ``pool.crash@chunk`` fault kills the process-pool tier of the
+engine's exact sweep ladder (``pool -> serial``); concurrent
+exact-sweep requests must still return answers that match the serial
+solves to 1e-10, the circuit breaker must trip (and its state / shed /
+retry counters surface in ``stats``), and clearing the fault must let
+the breaker close and the pool tier resume.  Reduced sweeps fall
+``compiled -> direct`` the same way.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import asyncio
 import dataclasses
 
 import numpy as np
+import pytest
 
 from repro.circuits import assemble_mna, parse_netlist
 from repro.robustness.faultinject import ServiceFaultPlan
@@ -34,11 +36,14 @@ C3 4 0 1e-9
 
 BAND = [1e6, 1e9]
 POINTS = 10
+#: two pool workers at MIN_POINTS_PER_WORKER = 16 points each: the
+#: smallest exact sweep the pool tier actually runs
+POOL_POINTS = 32
 
 
-def grid():
+def grid(points=POINTS):
     return 1j * np.logspace(
-        np.log10(BAND[0]), np.log10(BAND[1]), POINTS
+        np.log10(BAND[0]), np.log10(BAND[1]), points
     )
 
 
@@ -47,9 +52,21 @@ def exact_request(request_id):
         "id": request_id, "op": "sweep",
         "params": {
             "netlist": NETLIST, "order": 4, "band": BAND,
-            "points": POINTS, "exact": True, "return_values": True,
+            "points": POOL_POINTS, "exact": True, "return_values": True,
         },
     }
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Let ``workers=2`` resolve to two pool workers on any runner."""
+    import repro.engine.sweep as sweep_mod
+
+    monkeypatch.setattr(sweep_mod.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(
+        sweep_mod.os, "sched_getaffinity",
+        lambda pid: {0, 1}, raising=False,
+    )
 
 
 def response_z(resp):
@@ -59,9 +76,10 @@ def response_z(resp):
     )
 
 
-def test_pool_crash_degrades_then_recovers():
+def test_pool_crash_degrades_then_recovers(two_cpus):
     plan = ServiceFaultPlan.parse("pool.crash@chunk")
     config = ServiceConfig(
+        workers=2,
         max_concurrency=4,
         breaker=BreakerConfig(
             fail_threshold=3, cooldown=0.05, probe_successes=1
@@ -72,7 +90,7 @@ def test_pool_crash_degrades_then_recovers():
     )
     svc = MacromodelService(config, fault_plan=plan)
     reference = ac_sweep(
-        assemble_mna(parse_netlist(NETLIST)), grid()
+        assemble_mna(parse_netlist(NETLIST)), grid(POOL_POINTS)
     ).z
 
     async def faulty_phase():
@@ -87,7 +105,7 @@ def test_pool_crash_degrades_then_recovers():
     # 1. every request answered correctly despite the dead pool tier
     assert all(r["ok"] for r in responses), responses
     for resp in responses:
-        assert resp["result"]["tier"] in ("chunked-serial", "direct")
+        assert resp["result"]["tier"] == "serial"
         assert np.abs(response_z(resp) - reference).max() <= 1e-10
 
     # 2. the breaker tripped and the full picture is in stats
@@ -97,12 +115,12 @@ def test_pool_crash_degrades_then_recovers():
     assert "shed" in service and "retries" in service
     degraded = sum(service["degradations"].values())
     assert degraded == 6
-    assert service["degradations"]["pool->chunked-serial"] == 6
+    assert service["degradations"]["pool->serial"] == 6
     # short-circuited requests never touched the crashing pool tier
     assert len(plan.triggered) < 6
     # every tier switch is an observable health event
     degrade_events = [
-        e for e in svc.monitor.events if e.category == "service.degrade"
+        e for e in svc.monitor.events if e.category == "engine.sweep"
     ]
     assert len(degrade_events) == 6
     assert any(e.data["breaker_short_circuit"] for e in degrade_events)
@@ -126,13 +144,13 @@ def test_pool_crash_degrades_then_recovers():
 
 
 def test_reduced_sweep_survives_compiled_tier_failure(monkeypatch):
-    """A broken compiled path degrades to the serial tier, same values."""
+    """A broken compiled path degrades to the direct tier, same values."""
     svc = MacromodelService(ServiceConfig())
 
-    def exploding_sweep(target, s_values, **kw):
+    def exploding_compile(model, **options):
         raise RuntimeError("compiled evaluation exploded")
 
-    monkeypatch.setattr(svc.engine, "sweep", exploding_sweep)
+    monkeypatch.setattr(svc.engine, "compile", exploding_compile)
     request = {
         "id": "w", "op": "sweep",
         "params": {
@@ -142,8 +160,8 @@ def test_reduced_sweep_survives_compiled_tier_failure(monkeypatch):
     }
     resp = asyncio.run(svc.handle(request))
     assert resp["ok"], resp
-    assert resp["result"]["tier"] == "chunked-serial"
-    assert svc.counters["degradations"]["compiled->chunked-serial"] == 1
+    assert resp["result"]["tier"] == "direct"
+    assert svc.counters["degradations"]["compiled->direct"] == 1
 
     # the degraded answer still matches the model evaluated directly
     system = assemble_mna(parse_netlist(NETLIST))
@@ -155,28 +173,21 @@ def test_reduced_sweep_survives_compiled_tier_failure(monkeypatch):
 
 
 def test_last_resort_direct_tier(monkeypatch):
-    """Both upper tiers dead: per-point direct solves still answer."""
-    # serial_chunk=8 puts the serial tier at chunk 8 and the direct
-    # tier at chunk max(1, 8//8) = 1, so the shim below can tell them
-    # apart and kill only the serial tier
-    svc = MacromodelService(ServiceConfig(serial_chunk=8))
+    """Every compiled evaluation path dead -- the engine's compile and
+    the model's own lazily compiled batch form: per-point direct solves
+    still answer, after exactly one transition."""
+    from repro.core.model import ReducedOrderModel
+    from repro.engine import Engine
 
-    def exploding_sweep(target, s_values, **kw):
+    system = assemble_mna(parse_netlist(NETLIST))
+    expected = Engine().reduce(system, 4).impedance(grid())
+
+    def exploding(*args, **kwargs):
         raise RuntimeError("compiled evaluation exploded")
 
-    original = MacromodelService._chunked_sweep
-
-    async def serial_killer(self, evaluate, s, deadline, chunk, port_names):
-        if chunk > 1:
-            raise RuntimeError("serial tier disabled by test")
-        return await original(
-            self, evaluate, s, deadline, chunk, port_names
-        )
-
-    monkeypatch.setattr(svc.engine, "sweep", exploding_sweep)
-    monkeypatch.setattr(
-        MacromodelService, "_chunked_sweep", serial_killer
-    )
+    svc = MacromodelService(ServiceConfig())
+    monkeypatch.setattr(svc.engine, "compile", exploding)
+    monkeypatch.setattr(ReducedOrderModel, "_ensure_compiled", exploding)
     request = {
         "id": "w", "op": "sweep",
         "params": {
@@ -187,15 +198,11 @@ def test_last_resort_direct_tier(monkeypatch):
     resp = asyncio.run(svc.handle(request))
     assert resp["ok"], resp
     assert resp["result"]["tier"] == "direct"
-    assert svc.counters["degradations"] == {
-        "compiled->chunked-serial": 1,
-        "chunked-serial->direct": 1,
-    }
+    assert svc.counters["degradations"] == {"compiled->direct": 1}
+    assert svc.counters["tiers"] == {"direct": 1}
+    events = svc.monitor.by_category("engine.sweep")
+    assert len(events) == 1
+    assert events[0].data["breaker_short_circuit"] is False
 
     # and the per-point answers match the model evaluated directly
-    system = assemble_mna(parse_netlist(NETLIST))
-    from repro.engine import Engine
-
-    model = Engine().reduce(system, 4)
-    expected = model.impedance(grid())
     assert np.abs(response_z(resp) - expected).max() <= 1e-10

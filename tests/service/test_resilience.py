@@ -143,6 +143,57 @@ class TestCircuitBreaker:
         clock.now = 20.0
         assert breaker.allow()
 
+    def test_concurrent_threads_lose_no_update(self):
+        """The breaker is shared by the sweeps running on worker threads:
+        counters never lose an increment and a half-open breaker admits
+        exactly one probe however many threads race for it."""
+        import sys
+        import threading
+
+        breaker, clock = self.make(fail_threshold=10**9)
+        threads, rounds = 8, 2000
+        barrier = threading.Barrier(threads)
+        admitted = []
+
+        def hammer(k):
+            barrier.wait(timeout=10)
+            for _ in range(rounds):
+                if k % 2:
+                    breaker.record_failure()
+                else:
+                    breaker.record_success()
+
+        def race():
+            barrier.wait(timeout=10)
+            admitted.append(breaker.allow())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [
+                threading.Thread(target=hammer, args=(k,))
+                for k in range(threads)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+            assert not any(worker.is_alive() for worker in workers)
+            stats = breaker.describe()
+            assert stats["failures"] + stats["successes"] == threads * rounds
+
+            breaker._trip()
+            clock.now += 10.0  # cooldown over: half-open, one probe
+            workers = [threading.Thread(target=race) for _ in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+            assert not any(worker.is_alive() for worker in workers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(admitted) == [False] * (threads - 1) + [True]
+
     def test_multi_probe_close(self):
         breaker, clock = self.make(probe_successes=2)
         for _ in range(3):

@@ -263,7 +263,21 @@ class TestSweep:
         resp = run(svc.handle(sweep_request(exact=True)))
         assert resp["ok"]
         assert resp["result"]["mode"] == "exact"
-        assert resp["result"]["tier"] == "pool"
+        assert resp["result"]["tier"] == "serial"
+
+    def test_small_exact_sweep_reports_the_serial_tier(self):
+        """Ten points cannot feed two pool workers 16 points each: the
+        serial tier computes, and the response says so."""
+        from repro.engine import pool as engine_pool
+
+        engine_pool.shutdown_pool()
+        svc = make_service(workers=2)
+        resp = run(svc.handle(sweep_request(exact=True, points=10)))
+        assert resp["ok"], resp
+        assert resp["result"]["tier"] == "serial"
+        assert svc.counters["tiers"] == {"serial": 1}
+        assert svc.counters["degradations"] == {}
+        assert engine_pool.describe()["running"] is False
 
     def test_tier_counter(self):
         svc = make_service()
